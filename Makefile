@@ -1,5 +1,5 @@
 # Tier-1 gate: every change must keep `make check` green.
-.PHONY: check build vet lint test bench bench-smoke bench-routing fuzz-smoke ingest-soak load-smoke
+.PHONY: check build vet lint test bench bench-smoke bench-module bench-routing fuzz-smoke ingest-soak load-smoke
 
 check: build vet lint test
 
@@ -32,6 +32,14 @@ bench:
 # Run on every CI build; use `make bench` for real measurements.
 bench-smoke:
 	go test -run='^$$' -bench=. -benchtime=1x ./...
+
+# The serving benchmark (_bench, its own module) rebuilds the pipeline
+# from the library's public API for its traced run, and neither
+# `go build ./...` nor `go test ./...` reaches it. Vetting it and running
+# its short unit tests makes an API change that breaks it fail here
+# instead of at benchmark time. Offline, a few seconds.
+bench-module:
+	cd _bench && go vet . && go test -short .
 
 # The Dijkstra-vs-ALT routing comparison that feeds BENCH_routing.json;
 # see docs/PERFORMANCE.md "Precomputed routing".

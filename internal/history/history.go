@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"stmaker/internal/feature"
 	"stmaker/internal/traj"
@@ -271,6 +272,20 @@ type FeatureMap struct {
 	// dimension j on the transition; nil for numeric dimensions.
 	catCounts map[[2]int][]map[float64]int
 	n         map[[2]int]int
+
+	// view is the read-only serving form derived from the aggregates
+	// (see derive): built on the first read, dropped by every write.
+	view atomic.Pointer[featureView]
+}
+
+// featureView is what serving reads of a FeatureMap: every edge's regular
+// vector with mean or mode already resolved, and the global regular
+// vector. It is never written after derive returns, so any number of
+// readers may share it without a lock.
+type featureView struct {
+	offset  map[[2]int]int // transition → start of its row in regular
+	regular []float64      // dims values per edge, in EdgesSorted order
+	global  []float64
 }
 
 // BuildFeatureMap extracts every feature of every segment of the corpus
@@ -347,33 +362,100 @@ func (m *FeatureMap) Add(a, b int, v []float64) {
 		counts[j][x]++
 	}
 	m.n[key]++
+	m.view.Store(nil)
 }
 
 // Regular returns the regular feature vector r of the transition a→b —
 // per-dimension mean (numeric) or mode (categorical) — or false when the
-// corpus never travelled it.
+// corpus never travelled it. The slice is shared, read-only model memory:
+// callers must not write to it.
 func (m *FeatureMap) Regular(a, b int) ([]float64, bool) {
-	key := [2]int{a, b}
-	n := m.n[key]
-	if n == 0 {
+	v := m.derived()
+	off, ok := v.offset[[2]int{a, b}]
+	if !ok {
 		return nil, false
 	}
-	out := make([]float64, m.dims)
-	counts := m.catCounts[key]
-	for j, s := range m.sums[key] {
-		if m.categorical[j] && counts != nil && counts[j] != nil {
-			best, bestN := 0.0, 0
-			for val, c := range counts[j] {
-				if c > bestN || (c == bestN && val < best) {
-					best, bestN = val, c
-				}
-			}
-			out[j] = best
-			continue
-		}
-		out[j] = s / float64(n)
+	return v.regular[off : off+m.dims : off+m.dims], true
+}
+
+// Warm derives the serving view now, so the first request after a model
+// is published does not pay for it. Reads derive it on demand anyway.
+func (m *FeatureMap) Warm() { m.derived() }
+
+// derived returns the serving view, deriving it on the first read after
+// construction or a write. Concurrent first readers may each derive it;
+// the views are identical, so whichever is kept does not matter.
+func (m *FeatureMap) derived() *featureView {
+	if v := m.view.Load(); v != nil {
+		return v
 	}
-	return out, true
+	v := m.derive()
+	m.view.Store(v)
+	return v
+}
+
+// derive resolves every edge's regular vector and the global regular
+// vector in one pass over the edges in EdgesSorted order, so the global
+// sums are added in the same order on every call, every Clone and every
+// reload: the result is a deterministic function of the aggregates.
+func (m *FeatureMap) derive() *featureView {
+	edges := m.EdgesSorted()
+	v := &featureView{
+		offset:  make(map[[2]int]int, len(edges)),
+		regular: make([]float64, len(edges)*m.dims),
+		global:  make([]float64, m.dims),
+	}
+	var total int
+	catTotals := make([]map[float64]int, m.dims)
+	for i, key := range edges {
+		n, counts := m.n[key], m.catCounts[key]
+		off := i * m.dims
+		v.offset[key] = off
+		row := v.regular[off : off+m.dims]
+		for j, s := range m.sums[key] {
+			v.global[j] += s
+			if m.categorical[j] && counts != nil && counts[j] != nil {
+				row[j] = mode(counts[j])
+				continue
+			}
+			row[j] = s / float64(n)
+		}
+		total += n
+		for j, c := range counts {
+			if c == nil {
+				continue
+			}
+			if catTotals[j] == nil {
+				catTotals[j] = make(map[float64]int)
+			}
+			for val, k := range c {
+				catTotals[j][val] += k
+			}
+		}
+	}
+	if total > 0 {
+		for j := range v.global {
+			v.global[j] /= float64(total)
+		}
+	}
+	for j := range v.global {
+		if m.categorical[j] && catTotals[j] != nil {
+			v.global[j] = mode(catTotals[j])
+		}
+	}
+	return v
+}
+
+// mode returns the most frequent value of a histogram, the smallest on
+// ties.
+func mode(counts map[float64]int) float64 {
+	best, bestN := 0.0, 0
+	for val, c := range counts {
+		if c > bestN || (c == bestN && val < best) {
+			best, bestN = val, c
+		}
+	}
+	return best
 }
 
 // Flattened returns a copy of the map covering the same transitions but
@@ -488,6 +570,7 @@ func (m *FeatureMap) AddAggregate(a, b int, n int, sums []float64, cats []map[fl
 		}
 	}
 	m.n[key] += n
+	m.view.Store(nil)
 	return nil
 }
 
@@ -525,44 +608,6 @@ func (m *FeatureMap) Clone() *FeatureMap {
 // mean for numeric dimensions and the mode for categorical ones. It is
 // the substitution value for transitions the corpus never travelled, and
 // the crude baseline the ablation benches compare the per-edge map
-// against.
-func (m *FeatureMap) GlobalMean() []float64 {
-	out := make([]float64, m.dims)
-	var total int
-	catTotals := make([]map[float64]int, m.dims)
-	for key, s := range m.sums {
-		for j, x := range s {
-			out[j] += x
-		}
-		total += m.n[key]
-		for j, counts := range m.catCounts[key] {
-			if counts == nil {
-				continue
-			}
-			if catTotals[j] == nil {
-				catTotals[j] = make(map[float64]int)
-			}
-			for val, c := range counts {
-				catTotals[j][val] += c
-			}
-		}
-	}
-	if total > 0 {
-		for j := range out {
-			out[j] /= float64(total)
-		}
-	}
-	for j := range out {
-		if !m.categorical[j] || catTotals[j] == nil {
-			continue
-		}
-		best, bestN := 0.0, 0
-		for val, c := range catTotals[j] {
-			if c > bestN || (c == bestN && val < best) {
-				best, bestN = val, c
-			}
-		}
-		out[j] = best
-	}
-	return out
-}
+// against. The slice is shared, read-only model memory: callers must not
+// write to it.
+func (m *FeatureMap) GlobalMean() []float64 { return m.derived().global }

@@ -3,6 +3,7 @@ package history
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -291,16 +292,47 @@ func TestPopularSequencesRoundTrip(t *testing.T) {
 	}
 }
 
+// randomFeatureMap builds a map of the given number of random
+// transitions over four dimensions, 0 and 2 categorical (codes 1–7), 1
+// and 3 numeric with values spread over several magnitudes, so that sums
+// taken in different orders round differently.
+func randomFeatureMap(seed int64, edges int) *FeatureMap {
+	rng := rand.New(rand.NewSource(seed))
+	m := NewFeatureMap(4)
+	m.MarkCategorical(0)
+	m.MarkCategorical(2)
+	for m.NumEdges() < edges {
+		a, b := rng.Intn(4*edges), rng.Intn(4*edges)
+		for k := 1 + rng.Intn(4); k > 0; k-- {
+			m.Add(a, b, []float64{
+				float64(1 + rng.Intn(7)),
+				rng.Float64() * math.Pow(10, float64(rng.Intn(6))),
+				float64(1 + rng.Intn(7)),
+				rng.NormFloat64() / 3,
+			})
+		}
+	}
+	return m
+}
+
+// sameBits reports whether two vectors are bit-for-bit equal.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for j := range a {
+		if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestFeatureMapAggregateRoundTrip proves exporting every edge aggregate
 // and re-adding it to an empty map reproduces Regular and GlobalMean
 // bit-for-bit (sums are transported, not recomputed).
 func TestFeatureMapAggregateRoundTrip(t *testing.T) {
-	m := NewFeatureMap(2)
-	m.MarkCategorical(0)
-	m.Add(0, 1, []float64{2, 10.5})
-	m.Add(0, 1, []float64{2, 11.25})
-	m.Add(0, 1, []float64{6, 1.0 / 3.0})
-	m.Add(1, 2, []float64{4, 7})
+	m := randomFeatureMap(1, 600)
 
 	out := NewFeatureMap(m.Dims())
 	for j, c := range m.CategoricalDims() {
@@ -320,23 +352,106 @@ func TestFeatureMapAggregateRoundTrip(t *testing.T) {
 	if out.NumEdges() != m.NumEdges() {
 		t.Fatalf("edges = %d, want %d", out.NumEdges(), m.NumEdges())
 	}
-	for _, e := range [][2]int{{0, 1}, {1, 2}} {
+	for _, e := range m.EdgesSorted() {
 		want, _ := m.Regular(e[0], e[1])
 		got, ok := out.Regular(e[0], e[1])
 		if !ok {
 			t.Fatalf("edge %v missing after round trip", e)
 		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("edge %v dim %d: %v != %v", e, j, got[j], want[j])
-			}
+		if !sameBits(got, want) {
+			t.Fatalf("edge %v: %v != %v", e, got, want)
 		}
 	}
-	gw, gg := m.GlobalMean(), out.GlobalMean()
-	for j := range gw {
-		if gw[j] != gg[j] {
-			t.Fatalf("global mean dim %d: %v != %v", j, gg[j], gw[j])
+	if gw, gg := m.GlobalMean(), out.GlobalMean(); !sameBits(gw, gg) {
+		t.Fatalf("global mean: %v != %v", gg, gw)
+	}
+}
+
+// TestGlobalMeanDeterministic pins the global regular vector to the
+// aggregates alone: repeated calls, clones (whose Go maps iterate in a
+// different order) and a map filled in the opposite edge order all give
+// the same bits.
+func TestGlobalMeanDeterministic(t *testing.T) {
+	m := randomFeatureMap(2, 1500)
+	want := append([]float64(nil), m.GlobalMean()...)
+	for i := 0; i < 200; i++ {
+		if got := m.GlobalMean(); !sameBits(got, want) {
+			t.Fatalf("call %d: %v != %v", i, got, want)
 		}
+	}
+	for i := 0; i < 20; i++ {
+		if got := m.Clone().GlobalMean(); !sameBits(got, want) {
+			t.Fatalf("clone %d: %v != %v", i, got, want)
+		}
+	}
+	edges := m.EdgesSorted()
+	rev := NewFeatureMap(m.Dims())
+	rev.MarkCategorical(0)
+	rev.MarkCategorical(2)
+	for i := len(edges) - 1; i >= 0; i-- {
+		n, sums, cats, _ := m.Aggregate(edges[i][0], edges[i][1])
+		if err := rev.AddAggregate(edges[i][0], edges[i][1], n, sums, cats); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := rev.GlobalMean(); !sameBits(got, want) {
+		t.Fatalf("reverse-filled map: %v != %v", got, want)
+	}
+}
+
+// TestFeatureMapWritesInvalidateReads proves a read after Add or
+// AddAggregate sees the write, and that vectors handed out before the
+// write keep their values: they may be held by a published model.
+func TestFeatureMapWritesInvalidateReads(t *testing.T) {
+	m := NewFeatureMap(1)
+	m.Add(0, 1, []float64{10})
+	r0, _ := m.Regular(0, 1)
+	g0 := m.GlobalMean()
+
+	m.Add(0, 1, []float64{20})
+	if r, _ := m.Regular(0, 1); r[0] != 15 {
+		t.Fatalf("regular after Add = %v, want 15", r[0])
+	}
+	if _, ok := m.Regular(1, 2); ok {
+		t.Fatal("edge 1→2 known before it was added")
+	}
+	if err := m.AddAggregate(1, 2, 2, []float64{120}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if r, ok := m.Regular(1, 2); !ok || r[0] != 60 {
+		t.Fatalf("regular after AddAggregate = %v (ok %v), want 60", r, ok)
+	}
+	if g := m.GlobalMean(); g[0] != 37.5 {
+		t.Fatalf("global mean = %v, want 37.5", g[0])
+	}
+	if r0[0] != 10 || g0[0] != 10 {
+		t.Fatalf("earlier reads changed to %v and %v, want 10", r0[0], g0[0])
+	}
+}
+
+// TestFeatureMapReadsDoNotAllocate pins the serving reads to shared
+// model memory.
+func TestFeatureMapReadsDoNotAllocate(t *testing.T) {
+	m := randomFeatureMap(3, 500)
+	e := m.EdgesSorted()[17]
+	m.Warm()
+	if n := testing.AllocsPerRun(100, func() { m.Regular(e[0], e[1]) }); n != 0 {
+		t.Errorf("Regular allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.GlobalMean() }); n != 0 {
+		t.Errorf("GlobalMean allocates %v times per call", n)
+	}
+}
+
+// BenchmarkGlobalMean measures the fallback read for a transition the
+// corpus never travelled, on a map about the size of the 16×16
+// benchmark city's.
+func BenchmarkGlobalMean(b *testing.B) {
+	m := randomFeatureMap(4, 1500)
+	m.Warm()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.GlobalMean()
 	}
 }
 

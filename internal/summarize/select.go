@@ -43,6 +43,8 @@ type Selector struct {
 	vals        []float64
 	seq         []float64
 	tpLandmarks []int
+	segRows     [][]float64
+	routeRows   [][]float64
 }
 
 // prepare caches the per-request invariants: feature metadata and the
@@ -84,6 +86,12 @@ func (sel *Selector) SelectForPart(s *traj.Symbolic, part partition.Part, matrix
 		}
 	}
 
+	// Each transition's regular vector is looked up once per partition and
+	// then indexed by feature.
+	segRows, segOK := sel.transitionRows(sel.segRows[:0], tpLandmarks)
+	routeRows, routeOK := sel.transitionRows(sel.routeRows[:0], prRoute)
+	sel.segRows, sel.routeRows = segRows, routeRows
+
 	var selected []SelectedFeature
 	for j, d := range descs {
 		vals := sel.vals[:0]
@@ -95,19 +103,19 @@ func (sel *Selector) SelectForPart(s *traj.Symbolic, part partition.Part, matrix
 		sf := SelectedFeature{Key: d.Key, Name: d.Name, Class: d.Class, Numeric: d.Numeric}
 		switch d.Class {
 		case feature.Routing:
-			prSeq, prOK := sel.routeFeatureSeq(prRoute, j)
-			if !prOK {
+			if !routeOK {
 				// No historical route to compare against: the routing
 				// feature cannot be judged irregular.
 				break
 			}
+			prSeq := sel.column(routeRows, j)
 			rate = irregular.RoutingRate(vals, prSeq, d.Numeric, wvec[j])
 			sf.Regular, sf.HasRegular = aggregate(prSeq, d.Numeric)
 		case feature.Moving:
-			regular, ok := sel.regularSeq(s, part, j, len(vals))
-			if !ok {
+			if !segOK {
 				break
 			}
+			regular := sel.column(segRows, j)
 			rate = irregular.MovingRate(vals, regular, wvec[j])
 			sf.Regular, sf.HasRegular = aggregate(regular, d.Numeric)
 		}
@@ -123,47 +131,38 @@ func (sel *Selector) SelectForPart(s *traj.Symbolic, part partition.Part, matrix
 	return selected
 }
 
-// routeFeatureSeq builds the popular route's feature sequence FPR for
-// feature dimension j from the historical feature map.
-func (sel *Selector) routeFeatureSeq(prRoute []int, j int) ([]float64, bool) {
-	if len(prRoute) < 2 || sel.FeatureMap == nil {
-		return nil, false
+// transitionRows appends to dst the historical regular vector of every
+// transition along the landmark sequence ids: the partition's own
+// segments, or the hops of its popular route. A transition the corpus
+// never travelled takes the global regular vector when the fallback is
+// on; otherwise the sequence cannot be compared and ok is false, as it
+// is without a feature map or with fewer than two landmarks.
+func (sel *Selector) transitionRows(dst [][]float64, ids []int) ([][]float64, bool) {
+	if len(ids) < 2 || sel.FeatureMap == nil {
+		return dst, false
 	}
-	seq := sel.seq[:0]
-	for i := 1; i < len(prRoute); i++ {
-		r, ok := sel.FeatureMap.Regular(prRoute[i-1], prRoute[i])
+	for i := 1; i < len(ids); i++ {
+		r, ok := sel.FeatureMap.Regular(ids[i-1], ids[i])
 		if !ok {
 			if !sel.GlobalMeanFallback {
-				return nil, false
+				return dst, false
 			}
 			r = sel.FeatureMap.GlobalMean()
 		}
+		dst = append(dst, r)
+	}
+	return dst, true
+}
+
+// column gathers feature dimension j of every row into the selector's
+// scratch sequence.
+func (sel *Selector) column(rows [][]float64, j int) []float64 {
+	seq := sel.seq[:0]
+	for _, r := range rows {
 		seq = append(seq, r[j])
 	}
 	sel.seq = seq
-	return seq, true
-}
-
-// regularSeq builds the per-segment regular values of feature j for the
-// partition from the historical feature map.
-func (sel *Selector) regularSeq(s *traj.Symbolic, part partition.Part, j, n int) ([]float64, bool) {
-	if sel.FeatureMap == nil {
-		return nil, false
-	}
-	out := sel.seq[:0]
-	for i := part.FirstSeg; i <= part.LastSeg; i++ {
-		a, b := s.Visits[i].Landmark, s.Visits[i+1].Landmark
-		r, ok := sel.FeatureMap.Regular(a, b)
-		if !ok {
-			if !sel.GlobalMeanFallback {
-				return nil, false
-			}
-			r = sel.FeatureMap.GlobalMean()
-		}
-		out = append(out, r[j])
-	}
-	sel.seq = out
-	return out, true
+	return seq
 }
 
 // aggregate collapses per-segment values into a partition-level value:

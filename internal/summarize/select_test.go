@@ -2,6 +2,7 @@ package summarize
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -20,7 +21,7 @@ var (
 )
 
 // movingRegistry holds only moving features, so no road network is needed.
-func movingRegistry(t *testing.T) *feature.Registry {
+func movingRegistry(t testing.TB) *feature.Registry {
 	t.Helper()
 	reg := feature.NewRegistry()
 	for _, e := range []feature.Extractor{feature.NewSpeed(), feature.NewStayPoints(), feature.NewUTurns()} {
@@ -416,4 +417,59 @@ func TestStayPlacesAttached(t *testing.T) {
 		}
 	}
 	t.Fatal("stay feature not selected")
+}
+
+// BenchmarkSelectForPart runs §V selection over a sparsely sampled trip
+// (one landmark visit per 30 s fix) against a feature map of 1500
+// transitions, where half the trip's transitions and most popular-route
+// hops are novel, so every partition leans on the global-mean fallback.
+func BenchmarkSelectForPart(b *testing.B) {
+	reg := movingRegistry(b)
+	if err := reg.Register(feature.GradeOfRoad{}); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	const visits = 49
+	r := &traj.Raw{ID: "sparse"}
+	sym := &traj.Symbolic{ID: r.ID, Raw: r}
+	for i := 0; i < visits; i++ {
+		r.Samples = append(r.Samples, traj.Sample{
+			Pt: geo.Destination(selBase, 90, float64(i)*333),
+			T:  selStart.Add(time.Duration(i) * 30 * time.Second),
+		})
+		sym.Visits = append(sym.Visits, traj.Visit{Landmark: 3 * i, T: r.Samples[i].T, RawIndex: i})
+	}
+	m := history.NewFeatureMap(reg.Len())
+	m.MarkCategorical(reg.IndexOf(feature.KeyGradeOfRoad))
+	row := func() []float64 {
+		return []float64{20 + 40*rng.Float64(), float64(rng.Intn(2)), float64(rng.Intn(2)), float64(1 + rng.Intn(7))}
+	}
+	for i := 0; i+1 < visits; i += 2 {
+		m.Add(3*i, 3*(i+1), row())
+	}
+	for m.NumEdges() < 1500 {
+		m.Add(rng.Intn(4000), rng.Intn(4000), row())
+	}
+	var seqs [][]int
+	for i := 0; i+8 < visits; i += 8 {
+		seqs = append(seqs, []int{3 * i, 5000 + i, 5001 + i, 3 * (i + 8)})
+	}
+	pop := history.BuildPopularFromSequences(seqs)
+	matrix := make([]feature.Vector, visits-1)
+	for i := range matrix {
+		matrix[i] = row()
+	}
+	var parts []partition.Part
+	for i := 0; i+8 < visits; i += 8 {
+		parts = append(parts, partition.Part{FirstSeg: i, LastSeg: i + 7})
+	}
+	m.Warm()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sel := &Selector{Registry: reg, Popular: pop, FeatureMap: m, GlobalMeanFallback: true}
+		for _, part := range parts {
+			sel.SelectForPart(sym, part, matrix)
+		}
+	}
 }

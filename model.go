@@ -334,6 +334,9 @@ func (s *Summarizer) publish(m Model) *Model {
 	if m.version <= prev {
 		m.version = prev + 1
 	}
+	// Derive the feature map's serving view before any reader can see
+	// the model, so no request pays for it.
+	m.featMap.Warm()
 	s.model.Store(&m)
 	// Re-point the HMM matcher's routing engine at the new model's
 	// overlay (or back to plain Dijkstra when it has none). Engines are
