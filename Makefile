@@ -1,10 +1,16 @@
 # Tier-1 gate: every change must keep `make check` green.
-.PHONY: check build vet lint test bench bench-smoke bench-module bench-routing fuzz-smoke ingest-soak load-smoke
+.PHONY: check build fmt-check vet lint test bench bench-smoke bench-module bench-routing fuzz-smoke ingest-soak load-smoke
 
-check: build vet lint test
+check: build fmt-check vet lint test
 
 build:
 	go build ./...
+
+# Fails on any Go file gofmt would rewrite. The linter's golden fixtures
+# under internal/lint/testdata are inputs, kept exactly as written.
+fmt-check:
+	@out=$$(gofmt -l . | grep -v -e '^internal/lint/testdata/' -e '^\.bench_build/'); \
+	if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
 
 vet:
 	go vet ./...

@@ -17,6 +17,7 @@ import (
 
 	"stmaker/internal/geo"
 	"stmaker/internal/landmark"
+	"stmaker/internal/spatial"
 	"stmaker/internal/traj"
 )
 
@@ -97,14 +98,19 @@ func (c *Calibrator) Calibrate(r *traj.Raw) (*traj.Symbolic, error) {
 func (c *Calibrator) collectAnchors(r *traj.Raw) []anchor {
 	var anchors []anchor
 	var walked float64
+	// Landmark hits come unsorted into a reused buffer: the anchors are
+	// sorted below anyway.
+	var buf [32]spatial.Result
+	hits := buf[:0]
 	for i := 0; i+1 < len(r.Samples); i++ {
 		a, b := r.Samples[i], r.Samples[i+1]
 		segLen := geo.Distance(a.Pt, b.Pt)
 		// Landmarks within radius of any point of the segment lie within
 		// radius + segLen/2 of its midpoint.
 		searchR := c.opts.RadiusMeters + segLen/2
-		for _, lm := range c.set.Within(geo.Midpoint(a.Pt, b.Pt), searchR) {
-			d, t := geo.PointSegmentDistance(lm.Pt, a.Pt, b.Pt)
+		hits = c.set.AppendWithin(hits[:0], geo.Midpoint(a.Pt, b.Pt), searchR)
+		for _, lm := range hits {
+			d, t := geo.PointSegmentDistance(lm.Point, a.Pt, b.Pt)
 			if d > c.opts.RadiusMeters {
 				continue
 			}
@@ -122,11 +128,17 @@ func (c *Calibrator) collectAnchors(r *traj.Raw) []anchor {
 		}
 		walked += segLen
 	}
+	// A total order, so the result never depends on the hit order: the
+	// same landmark can sit at one along-route position twice when it
+	// lies exactly on the vertex two segments share.
 	sort.Slice(anchors, func(i, j int) bool {
 		if anchors[i].along != anchors[j].along { //lint:allow floateq -- sort comparator: exact tie-break on equal keys is intended
 			return anchors[i].along < anchors[j].along
 		}
-		return anchors[i].landmarkID < anchors[j].landmarkID
+		if anchors[i].landmarkID != anchors[j].landmarkID {
+			return anchors[i].landmarkID < anchors[j].landmarkID
+		}
+		return anchors[i].rawIndex < anchors[j].rawIndex
 	})
 	return anchors
 }

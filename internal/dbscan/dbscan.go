@@ -34,11 +34,11 @@ func Cluster(points []geo.Point, eps float64, minPts int) Result {
 		return Result{Labels: labels}
 	}
 
-	refLat := points[0].Lat
-	ix := spatial.NewIndex(eps, refLat)
+	items := make([]spatial.Item, n)
 	for i, p := range points {
-		ix.Insert(i, p)
+		items[i] = spatial.Item{ID: i, Pt: p}
 	}
+	ix := spatial.Build(eps, items)
 	neighbours := func(i int) []int {
 		hits := ix.Within(points[i], eps)
 		ids := make([]int, len(hits))

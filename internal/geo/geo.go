@@ -39,6 +39,11 @@ func (p Point) Valid() bool {
 func deg2rad(d float64) float64 { return d * math.Pi / 180 }
 func rad2deg(r float64) float64 { return r * 180 / math.Pi }
 
+// Radians converts degrees to radians exactly as this package's own
+// functions do, so latitudes precomputed with it feed Haversine the same
+// bits Distance does.
+func Radians(deg float64) float64 { return deg2rad(deg) }
+
 // Distance returns the haversine great-circle distance between a and b in
 // metres.
 func Distance(a, b Point) float64 {
@@ -46,11 +51,25 @@ func Distance(a, b Point) float64 {
 		return 0
 	}
 	lat1, lat2 := deg2rad(a.Lat), deg2rad(b.Lat)
-	dLat := lat2 - lat1
-	dLng := deg2rad(b.Lng - a.Lng)
-	sinLat := math.Sin(dLat / 2)
-	sinLng := math.Sin(dLng / 2)
-	h := sinLat*sinLat + math.Cos(lat1)*math.Cos(lat2)*sinLng*sinLng
+	return HaversineDistance(Haversine(lat1, math.Cos(lat1), a.Lng, lat2, math.Cos(lat2), b.Lng))
+}
+
+// Haversine returns the haversine term h of the great-circle distance
+// from point a to point b: sin²(Δφ/2) + cos φa·cos φb·sin²(Δλ/2).
+// Latitudes come in radians together with their cosines, so an index can
+// precompute both per item; longitudes are in degrees. Distance is
+// HaversineDistance(Haversine(...)), so a caller that goes through these
+// two functions gets Distance's result bit for bit.
+func Haversine(latARad, cosLatA, lngA, latBRad, cosLatB, lngB float64) float64 {
+	sinLat := math.Sin((latBRad - latARad) / 2)
+	sinLng := math.Sin(deg2rad(lngB-lngA) / 2)
+	return sinLat*sinLat + cosLatA*cosLatB*sinLng*sinLng
+}
+
+// HaversineDistance converts a haversine term h into metres. It is
+// non-decreasing in h, which is what lets a range query compare h against
+// a threshold and take the square root and arcsine only for survivors.
+func HaversineDistance(h float64) float64 {
 	if h > 1 {
 		h = 1
 	}

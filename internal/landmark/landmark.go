@@ -64,15 +64,12 @@ type Set struct {
 func NewSet(landmarks []Landmark) *Set {
 	s := &Set{landmarks: make([]Landmark, len(landmarks))}
 	copy(s.landmarks, landmarks)
-	refLat := 0.0
-	if len(landmarks) > 0 {
-		refLat = landmarks[0].Pt.Lat
-	}
-	s.ix = spatial.NewIndex(300, refLat)
+	items := make([]spatial.Item, len(s.landmarks))
 	for i := range s.landmarks {
 		s.landmarks[i].ID = i
-		s.ix.Insert(i, s.landmarks[i].Pt)
+		items[i] = spatial.Item{ID: i, Pt: s.landmarks[i].Pt}
 	}
+	s.ix = spatial.Build(300, items)
 	return s
 }
 
@@ -153,6 +150,15 @@ func (s *Set) Nearest(p geo.Point, maxDist float64) (Landmark, bool) {
 		return Landmark{}, false
 	}
 	return s.landmarks[r.ID], true
+}
+
+// AppendWithin appends the landmarks within radius metres of p to dst as
+// spatial hits — Result.ID is the landmark id, Result.Point its location —
+// in no particular order, and returns the extended slice. It allocates
+// only when dst runs out of room; callers that need an order sort the
+// hits themselves.
+func (s *Set) AppendWithin(dst []spatial.Result, p geo.Point, radius float64) []spatial.Result {
+	return s.ix.AppendWithin(dst, p, radius)
 }
 
 // Within returns the landmarks within radius metres of p, nearest first.

@@ -6,6 +6,7 @@ import (
 
 	"stmaker/internal/geo"
 	"stmaker/internal/hits"
+	"stmaker/internal/spatial"
 )
 
 var base = geo.Point{Lat: 39.9, Lng: 116.4}
@@ -81,6 +82,52 @@ func TestNearestAndWithin(t *testing.T) {
 	within := s.Within(base, 500)
 	if len(within) != 2 || within[0].Name != "a" || within[1].Name != "b" {
 		t.Fatalf("Within = %+v", within)
+	}
+}
+
+func TestAppendWithinMatchesWithin(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	var lms []Landmark
+	for i := 0; i < 300; i++ {
+		lms = append(lms, Landmark{Name: "l", Pt: geo.Destination(base, rng.Float64()*360, rng.Float64()*3000)})
+	}
+	s := NewSet(lms)
+	buf := make([]spatial.Result, 0, 64)
+	for i := 0; i < 50; i++ {
+		q := geo.Destination(base, rng.Float64()*360, rng.Float64()*3000)
+		want := map[int]bool{}
+		for _, lm := range s.Within(q, 400) {
+			want[lm.ID] = true
+		}
+		buf = s.AppendWithin(buf[:0], q, 400)
+		if len(buf) != len(want) {
+			t.Fatalf("query %d: AppendWithin found %d landmarks, Within %d", i, len(buf), len(want))
+		}
+		for _, h := range buf {
+			if !want[h.ID] || h.Point != s.Get(h.ID).Pt {
+				t.Fatalf("query %d: unexpected hit %+v", i, h)
+			}
+		}
+	}
+}
+
+func TestAppendWithinDoesNotAllocate(t *testing.T) {
+	s := NewSet([]Landmark{
+		{Name: "a", Pt: base},
+		{Name: "b", Pt: geo.Destination(base, 90, 40)},
+		{Name: "c", Pt: geo.Destination(base, 0, 70)},
+	})
+	buf := make([]spatial.Result, 0, 8)
+	var n int
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = s.AppendWithin(buf[:0], base, 100)
+		n = len(buf)
+	})
+	if n != 3 {
+		t.Fatalf("AppendWithin found %d landmarks, want 3", n)
+	}
+	if allocs != 0 {
+		t.Fatalf("AppendWithin allocates %.1f times per call with room in dst", allocs)
 	}
 }
 

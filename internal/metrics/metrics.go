@@ -38,12 +38,14 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 // DefaultLatencyBuckets are the histogram upper bounds used for every
-// latency histogram in the registry: exponential, doubling from 100µs to
-// ~209s, 22 buckets. Observations above the last bound land in the
-// implicit +Inf bucket.
+// latency histogram in the registry: exponential, doubling from 1µs to
+// ~268s, 29 buckets. Observations above the last bound land in the
+// implicit +Inf bucket. Starting at 1µs keeps the quantiles of the
+// fastest stages (partition, selection, rendering: tens of µs) inside a
+// bucket of their own size rather than in one wide first bucket.
 var DefaultLatencyBuckets = func() []float64 {
-	bounds := make([]float64, 22)
-	b := 100e-6
+	bounds := make([]float64, 29)
+	b := 1e-6
 	for i := range bounds {
 		bounds[i] = b
 		b *= 2
@@ -173,9 +175,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // quantile estimates the q-quantile from bucket counts by linear
-// interpolation inside the target bucket, clamped to the observed
-// min/max so tiny samples do not report impossible values.
+// interpolation inside the target bucket, narrowed to the observed
+// min/max: the first bucket interpolates from the smallest observation
+// rather than from 0, and the last from its lower bound to the largest.
 func (h *Histogram) quantile(counts []int64, total int64, q float64) float64 {
+	min := float64(h.min.Load()) / fixedPointScale
+	max := float64(h.max.Load()) / fixedPointScale
 	rank := q * float64(total)
 	var cum float64
 	for i, c := range counts {
@@ -187,21 +192,21 @@ func (h *Histogram) quantile(counts []int64, total int64, q float64) float64 {
 		if cum < rank {
 			continue
 		}
-		lo := 0.0
+		lo := min
 		if i > 0 {
-			lo = h.bounds[i-1]
+			lo = math.Max(h.bounds[i-1], min)
 		}
-		max := float64(h.max.Load()) / fixedPointScale
 		hi := max
 		if i < len(h.bounds) {
-			hi = h.bounds[i]
+			hi = math.Min(h.bounds[i], max)
 		}
 		frac := (rank - prev) / float64(c)
 		v := lo + (hi-lo)*frac
-		min := float64(h.min.Load()) / fixedPointScale
+		// The clamp still matters under concurrent Observe, when the
+		// counts and min/max come from slightly different moments.
 		return math.Min(math.Max(v, min), max)
 	}
-	return float64(h.max.Load()) / fixedPointScale
+	return max
 }
 
 // Registry is a named collection of counters and histograms. Counter and

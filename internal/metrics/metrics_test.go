@@ -80,6 +80,38 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistogramSubMillisecondQuantiles pins the resolution of the fast
+// stages: partition, selection and rendering take tens of µs, and a
+// histogram whose first bucket spans 0–100 µs reported p50 ≈ 50 µs and
+// p99 ≈ 99 µs for all of them.
+func TestHistogramSubMillisecondQuantiles(t *testing.T) {
+	h := NewHistogram(nil)
+	// 1000 observations spread 5µs..15µs uniformly.
+	for i := 0; i < 1000; i++ {
+		h.Observe(5e-6 + 10e-6*float64(i)/999)
+	}
+	s := h.Snapshot()
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"p50", s.P50, 10e-6},
+		{"p90", s.P90, 14e-6},
+		{"p99", s.P99, 14.9e-6},
+	} {
+		if math.Abs(c.got-c.want) > 0.2*c.want {
+			t.Errorf("%s = %.3gµs, want within 20%% of %.3gµs", c.name, c.got*1e6, c.want*1e6)
+		}
+	}
+	// One observation: every quantile is that observation, not a point
+	// interpolated from 0 inside its bucket.
+	one := NewHistogram(nil)
+	one.Observe(7e-6)
+	if s := one.Snapshot(); math.Abs(s.P50-7e-6) > 1e-12 || math.Abs(s.P99-7e-6) > 1e-12 {
+		t.Errorf("single 7µs observation: p50=%g p99=%g", s.P50, s.P99)
+	}
+}
+
 func TestHistogramAboveLastBound(t *testing.T) {
 	h := NewHistogram([]float64{0.001, 0.002})
 	h.Observe(5) // lands in the implicit +Inf bucket

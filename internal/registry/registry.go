@@ -315,19 +315,7 @@ func NewStatic(name string, s *stmaker.Summarizer, opts Options) *Registry {
 // buildSpatialIndex indexes the centroids of bounding-boxed regions for
 // Resolve. Regions without a bbox stay reachable by explicit key only.
 func (r *Registry) buildSpatialIndex() {
-	var refLat float64
-	boxed := 0
-	for _, name := range r.names {
-		if b := r.cells[name].bbox; b != nil {
-			lat, _ := b.Center()
-			refLat = lat
-			boxed++
-		}
-	}
-	if boxed == 0 {
-		return
-	}
-	r.index = spatial.NewIndex(spatialCellMeters, refLat)
+	var items []spatial.Item
 	for _, name := range r.names {
 		b := r.cells[name].bbox
 		if b == nil {
@@ -343,8 +331,11 @@ func (r *Registry) buildSpatialIndex() {
 		if reach > r.maxReach {
 			r.maxReach = reach
 		}
-		r.index.Insert(len(r.spatialNames), center)
+		items = append(items, spatial.Item{ID: len(r.spatialNames), Pt: center})
 		r.spatialNames = append(r.spatialNames, name)
+	}
+	if len(items) > 0 {
+		r.index = spatial.Build(spatialCellMeters, items)
 	}
 }
 

@@ -21,18 +21,13 @@ const matchSampleSpacing = 60.0
 
 // NewMatcher builds a matcher for the graph.
 func NewMatcher(g *Graph) *Matcher {
-	refLat := 0.0
-	if g.NumNodes() > 0 {
-		refLat = g.Node(0).Pt.Lat
-	}
-	ix := spatial.NewIndex(matchSampleSpacing*2, refLat)
+	var items []spatial.Item
 	for i := range g.Edges() {
-		e := g.Edge(EdgeID(i))
-		for _, p := range e.Geometry.Resample(matchSampleSpacing) {
-			ix.Insert(i, p)
+		for _, p := range g.Edge(EdgeID(i)).Geometry.Resample(matchSampleSpacing) {
+			items = append(items, spatial.Item{ID: i, Pt: p})
 		}
 	}
-	return &Matcher{g: g, ix: ix}
+	return &Matcher{g: g, ix: spatial.Build(matchSampleSpacing*2, items)}
 }
 
 // Match describes a GPS point matched onto an edge.
@@ -49,14 +44,23 @@ type Match struct {
 // GPS sample onto the edge geometry, Along metres from the From endpoint.
 func (m Match) Point() geo.Point { return m.Edge.Geometry.PointAt(m.Along) }
 
+// nearestEdgeHits sizes NearestEdge's stack buffer of grid hits. At the
+// default 150 m match radius a sample sees a few dozen edge sample points
+// even at a busy intersection; a query with more spills to the heap.
+const nearestEdgeHits = 128
+
 // NearestEdge returns the edge closest to p within maxDist metres. The
-// boolean is false when no edge qualifies.
+// boolean is false when no edge qualifies. Among edges at bit-equal
+// distances the lowest EdgeID wins, so the grid's hit order never decides
+// a match: a fix behind a node projects, clamped to the node, onto every
+// edge that starts there at exactly the same distance.
 func (m *Matcher) NearestEdge(p geo.Point, maxDist float64) (Match, bool) {
-	hits := m.ix.Within(p, maxDist+matchSampleSpacing)
+	var buf [nearestEdgeHits]spatial.Result
+	hits := m.ix.AppendWithin(buf[:0], p, maxDist+matchSampleSpacing)
 	best := Match{Distance: math.Inf(1)}
-	// Small-slice dedupe, as in candidateEdges: this runs per sample on
-	// the greedy matching path.
-	var seenArr [16]int
+	// Small-slice dedupe, as in candidateEdges: an edge is sampled every
+	// matchSampleSpacing metres, so it shows up several times.
+	var seenArr [32]int
 	seen := seenArr[:0]
 	for _, h := range hits {
 		dup := false
@@ -72,7 +76,7 @@ func (m *Matcher) NearestEdge(p geo.Point, maxDist float64) (Match, bool) {
 		seen = append(seen, h.ID)
 		e := m.g.Edge(EdgeID(h.ID))
 		d, seg, t := e.Geometry.NearestPoint(p)
-		if d < best.Distance {
+		if d < best.Distance || best.Edge != nil && d == best.Distance && e.ID < best.Edge.ID { //lint:allow floateq -- exact ties are broken by edge id
 			best = Match{Edge: e, Distance: d, Along: e.Geometry.DistanceAlong(seg, t)}
 		}
 	}

@@ -292,3 +292,50 @@ func TestEdgeSpeedLimitOverride(t *testing.T) {
 		t.Errorf("travel time = %v, want %v", e.TravelTimeSeconds(), want)
 	}
 }
+
+// TestNearestEdgeTieTakesLowestID pins the greedy match's tie-break. A
+// fix behind a node projects, clamped to the node, onto every edge that
+// starts there, at bit-equal distances (each edge measures from its own
+// start, which is that node). The lowest EdgeID must win, whichever edge
+// the grid happens to report first: each spoke takes the lowest id once,
+// and the spokes heading south reach the grid rows visited first.
+func TestNearestEdgeTieTakesLowestID(t *testing.T) {
+	bearings := []float64{90, 180, 135}
+	fix := geo.Destination(testOrigin, 315, 40)
+	for first := range bearings {
+		g := &Graph{}
+		hub := g.AddNode(testOrigin, true)
+		for k := range bearings {
+			brg := bearings[(first+k)%len(bearings)]
+			tip := g.AddNode(geo.Destination(testOrigin, brg, 400), true)
+			if _, err := g.AddEdge(hub, tip, "spoke", GradeProvincial, 0, OneWay, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d0, _, _ := g.Edge(0).Geometry.NearestPoint(fix)
+		for _, e := range g.Edges() {
+			if d, _, _ := e.Geometry.NearestPoint(fix); math.Float64bits(d) != math.Float64bits(d0) {
+				t.Fatalf("edge %d is %v m from the fix, edge 0 %v m: no exact tie to test", e.ID, d, d0)
+			}
+		}
+		match, ok := NewMatcher(g).NearestEdge(fix, 100)
+		if !ok || match.Edge.ID != 0 {
+			t.Fatalf("spoke order %d: matched %+v (ok=%v), want edge 0", first, match.Edge, ok)
+		}
+		if match.Along != 0 {
+			t.Fatalf("along = %v, want 0 (clamped to the hub)", match.Along)
+		}
+	}
+}
+
+func TestNearestEdgeDoesNotAllocate(t *testing.T) {
+	g := buildGrid(t, 6, 300)
+	m := NewMatcher(g)
+	q := geo.Destination(geo.Midpoint(g.Node(7).Pt, g.Node(8).Pt), 30, 20)
+	if _, ok := m.NearestEdge(q, 150); !ok {
+		t.Fatal("no match; the pin would be vacuous")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.NearestEdge(q, 150) }); allocs != 0 {
+		t.Fatalf("NearestEdge allocates %.1f times per call", allocs)
+	}
+}

@@ -302,7 +302,7 @@ func TestMultiRegionMetricsShape(t *testing.T) {
 		t.Fatalf("metrics = %d", rec.Code)
 	}
 	var snap struct {
-		Counters map[string]int64                      `json:"counters"`
+		Counters map[string]int64 `json:"counters"`
 		Regions  map[string]struct {
 			Counters map[string]int64 `json:"counters"`
 		} `json:"regions"`

@@ -10,17 +10,23 @@ import (
 
 var origin = geo.Point{Lat: 39.9, Lng: 116.4}
 
+// itemsOf gives each point its slice index as id.
+func itemsOf(pts []geo.Point) []Item {
+	items := make([]Item, len(pts))
+	for i, p := range pts {
+		items[i] = Item{ID: i, Pt: p}
+	}
+	return items
+}
+
 func TestWithinBasic(t *testing.T) {
-	ix := NewIndex(250, origin.Lat)
 	pts := []geo.Point{
 		origin,
 		geo.Destination(origin, 90, 100),
 		geo.Destination(origin, 90, 500),
 		geo.Destination(origin, 0, 2000),
 	}
-	for i, p := range pts {
-		ix.Insert(i, p)
-	}
+	ix := Build(250, itemsOf(pts))
 	if ix.Len() != 4 {
 		t.Fatalf("Len = %d", ix.Len())
 	}
@@ -40,19 +46,16 @@ func TestWithinBasic(t *testing.T) {
 }
 
 func TestWithinNegativeRadius(t *testing.T) {
-	ix := NewIndex(250, origin.Lat)
-	ix.Insert(1, origin)
+	ix := Build(250, []Item{{ID: 1, Pt: origin}})
 	if got := ix.Within(origin, -1); got != nil {
 		t.Fatalf("Within(-1) = %v", got)
 	}
 }
 
 func TestNearest(t *testing.T) {
-	ix := NewIndex(250, origin.Lat)
 	a := geo.Destination(origin, 45, 300)
 	b := geo.Destination(origin, 45, 900)
-	ix.Insert(10, a)
-	ix.Insert(20, b)
+	ix := Build(250, []Item{{ID: 10, Pt: a}, {ID: 20, Pt: b}})
 
 	r, ok := ix.Nearest(origin, 5000)
 	if !ok || r.ID != 10 {
@@ -69,7 +72,7 @@ func TestNearest(t *testing.T) {
 }
 
 func TestNearestEmpty(t *testing.T) {
-	ix := NewIndex(250, origin.Lat)
+	ix := Build(250, nil)
 	if _, ok := ix.Nearest(origin, 1e6); ok {
 		t.Fatal("Nearest on empty index should report none")
 	}
@@ -77,13 +80,11 @@ func TestNearestEmpty(t *testing.T) {
 
 func TestNearestMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	ix := NewIndex(200, origin.Lat)
 	var pts []geo.Point
 	for i := 0; i < 500; i++ {
-		p := geo.Destination(origin, rng.Float64()*360, rng.Float64()*5000)
-		pts = append(pts, p)
-		ix.Insert(i, p)
+		pts = append(pts, geo.Destination(origin, rng.Float64()*360, rng.Float64()*5000))
 	}
+	ix := Build(200, itemsOf(pts))
 	for trial := 0; trial < 50; trial++ {
 		q := geo.Destination(origin, rng.Float64()*360, rng.Float64()*5000)
 		bestID, bestD := -1, math.Inf(1)
@@ -105,13 +106,11 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 
 func TestWithinMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	ix := NewIndex(300, origin.Lat)
 	var pts []geo.Point
 	for i := 0; i < 300; i++ {
-		p := geo.Destination(origin, rng.Float64()*360, rng.Float64()*4000)
-		pts = append(pts, p)
-		ix.Insert(i, p)
+		pts = append(pts, geo.Destination(origin, rng.Float64()*360, rng.Float64()*4000))
 	}
+	ix := Build(300, itemsOf(pts))
 	for trial := 0; trial < 20; trial++ {
 		q := geo.Destination(origin, rng.Float64()*360, rng.Float64()*4000)
 		radius := 200 + rng.Float64()*1500
@@ -134,8 +133,7 @@ func TestWithinMatchesBruteForce(t *testing.T) {
 }
 
 func TestDefaultCellSize(t *testing.T) {
-	ix := NewIndex(0, origin.Lat) // falls back to the default
-	ix.Insert(1, origin)
+	ix := Build(0, []Item{{ID: 1, Pt: origin}}) // falls back to the default
 	if _, ok := ix.Nearest(origin, 10); !ok {
 		t.Fatal("default-cell index should find the inserted point")
 	}

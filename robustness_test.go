@@ -52,9 +52,9 @@ func calmCorpus(city *simulate.City, n int, seed int64) []*traj.Raw {
 // Noise kinds injected by corruptTrip, cycling through the degraded
 // input real trackers produce.
 const (
-	noiseShuffled = iota // two timestamps swapped: fails Validate
-	noiseDuplicated      // a fix repeated twice at the same instant
-	noiseTeleport        // one fix jumps 100 km off-route
+	noiseShuffled   = iota // two timestamps swapped: fails Validate
+	noiseDuplicated        // a fix repeated twice at the same instant
+	noiseTeleport          // one fix jumps 100 km off-route
 	noiseKinds
 )
 
