@@ -52,9 +52,10 @@ bench-module:
 bench-routing:
 	go test -run='^$$' -bench='ShortestPath|HMMMatch|TrainOverlay' -benchmem -count=5 ./internal/roadnet/
 
-# Short randomized smoke of the fuzz targets (~30s total): enough to
-# catch shallow regressions on every CI run without a dedicated fuzz
-# farm. Run with a larger -fuzztime locally when touching the decoders.
+# Short randomized smoke of every fuzz target, 15 s each (~150 s of
+# fuzzing in total): enough to catch shallow regressions on every CI run
+# without a dedicated fuzz farm. Run with a larger -fuzztime locally
+# when touching the decoders.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzLoadTrips -fuzztime=15s ./internal/worldio
 	go test -run='^$$' -fuzz=FuzzSanitize -fuzztime=15s ./internal/sanitize
@@ -62,6 +63,10 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzParseManifest -fuzztime=15s ./internal/modelio
 	go test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=15s ./internal/ingest
 	go test -run='^$$' -fuzz=FuzzIngestNDJSON -fuzztime=15s ./internal/server
+	go test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=15s ./internal/server
+	go test -run='^$$' -fuzz=FuzzSimilarity -fuzztime=15s ./internal/partition
+	go test -run='^$$' -fuzz=FuzzEditDistance -fuzztime=15s ./internal/irregular
+	go test -run='^$$' -fuzz=FuzzALTEquivalence -fuzztime=15s ./internal/roadnet
 
 # Short sustained-load smoke: drives a synthetic fleet through the real
 # HTTP serving path (single + batch endpoints mixed) and fails on any

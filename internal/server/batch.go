@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -103,7 +102,7 @@ func (srv *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, srv.opts.MaxBodyBytes*batchBodyFactor)
 	}
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r.Body, &req, (*decoder).batchRequest); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			srv.writeError(w, http.StatusRequestEntityTooLarge,

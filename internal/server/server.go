@@ -406,7 +406,7 @@ func (srv *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, srv.opts.MaxBodyBytes)
 	}
 	var req SummarizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r.Body, &req, (*decoder).summarizeRequest); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			srv.writeError(w, http.StatusRequestEntityTooLarge,
