@@ -1,7 +1,7 @@
 # Tier-1 gate: every change must keep `make check` green.
 .PHONY: check build fmt-check vet lint test bench bench-smoke bench-module bench-routing fuzz-smoke ingest-soak load-smoke
 
-check: build fmt-check vet lint test
+check: build fmt-check vet lint test bench-module
 
 build:
 	go build ./...
@@ -43,7 +43,8 @@ bench-smoke:
 # from the library's public API for its traced run, and neither
 # `go build ./...` nor `go test ./...` reaches it. Vetting it and running
 # its short unit tests makes an API change that breaks it fail here
-# instead of at benchmark time. Offline, a few seconds.
+# instead of at benchmark time. Part of `make check`; offline, a few
+# seconds.
 bench-module:
 	cd _bench && go vet . && go test -short .
 

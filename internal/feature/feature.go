@@ -71,9 +71,12 @@ type Extractor interface {
 }
 
 // Context carries the external semantic resources extractors may consult,
-// plus a per-segment map-matching cache shared by the routing extractors.
-// The cache is synchronized, so one Context may serve concurrent
-// extraction.
+// plus a per-trajectory cache of what extraction found on each segment:
+// the map-matched edges the routing extractors share, and the stay points
+// and U-turns the moving extractors detected, which the summary templates
+// present (§VI-A). The cache is synchronized, so one Context may serve
+// concurrent extraction. Each ExtractAll (or ExtractAllInto) of a
+// trajectory holds its entry until a matching ReleaseEdges.
 type Context struct {
 	Graph     *roadnet.Graph
 	Matcher   *roadnet.Matcher
@@ -88,15 +91,25 @@ type Context struct {
 	// (default 150).
 	MatchRadiusMeters float64
 
-	mu        sync.Mutex
-	edgeCache map[*traj.Symbolic][]segEdges
+	mu      sync.Mutex
+	entries map[*traj.Symbolic]trajEntry
 }
 
-// segEdges is one segment's cached match result. done distinguishes
-// "matched, nothing found" from "never matched".
-type segEdges struct {
-	edges []*roadnet.Edge
-	done  bool
+// trajEntry is one trajectory's cache entry: a row of per-segment results
+// and the number of extractions holding it.
+type trajEntry struct {
+	segs  []segEntry
+	holds int
+}
+
+// segEntry is what extraction found on one segment. done distinguishes
+// "matched, nothing found" from "never matched"; stays and uturns are
+// kept only when non-empty.
+type segEntry struct {
+	edges  []*roadnet.Edge
+	done   bool
+	stays  []Stay
+	uturns []UTurn
 }
 
 // NewContext builds a context over the given map resources.
@@ -106,7 +119,6 @@ func NewContext(g *roadnet.Graph, m *roadnet.Matcher, lms *landmark.Set) *Contex
 		Matcher:           m,
 		Landmarks:         lms,
 		MatchRadiusMeters: 150,
-		edgeCache:         make(map[*traj.Symbolic][]segEdges),
 	}
 }
 
@@ -120,14 +132,9 @@ func (ctx *Context) SegmentEdges(seg traj.Segment) []*roadnet.Edge {
 	if ctx.Matcher == nil {
 		return nil
 	}
-	ctx.mu.Lock()
-	row := ctx.edgeCache[seg.Traj]
-	if seg.Index < len(row) && row[seg.Index].done {
-		edges := row[seg.Index].edges
-		ctx.mu.Unlock()
-		return edges
+	if e := ctx.entry(seg); e.done {
+		return e.edges
 	}
-	ctx.mu.Unlock()
 	var edges []*roadnet.Edge
 	if ctx.HMM != nil {
 		samples := seg.RawSamples()
@@ -148,30 +155,108 @@ func (ctx *Context) SegmentEdges(seg traj.Segment) []*roadnet.Edge {
 		}
 	}
 	ctx.mu.Lock()
-	if ctx.edgeCache == nil {
-		ctx.edgeCache = make(map[*traj.Symbolic][]segEdges)
-	}
-	row = ctx.edgeCache[seg.Traj]
-	if len(row) <= seg.Index {
-		grown := make([]segEdges, seg.Traj.NumSegments())
-		copy(grown, row)
-		row = grown
-	}
-	row[seg.Index] = segEdges{edges: edges, done: true}
-	ctx.edgeCache[seg.Traj] = row
+	e := ctx.segLocked(seg)
+	e.edges, e.done = edges, true
 	ctx.mu.Unlock()
 	return edges
 }
 
-// ReleaseEdges drops the trajectory's cached match results. Callers
-// that are done with a trajectory (a finished summarize request, a
-// trained-on corpus trajectory) release it so the shared Context's
-// cache stays bounded by the number of trajectories in flight; a
-// release is never unsafe, because a later lookup just re-matches.
+// entry returns a copy of the segment's cache slot, or the zero slot
+// when nothing is cached.
+func (ctx *Context) entry(seg traj.Segment) segEntry {
+	ctx.mu.Lock()
+	defer ctx.mu.Unlock()
+	if row := ctx.entries[seg.Traj].segs; seg.Index < len(row) {
+		return row[seg.Index]
+	}
+	return segEntry{}
+}
+
+// segLocked returns the segment's cache slot, creating the trajectory's
+// entry or growing its row as needed. ctx.mu must be held.
+func (ctx *Context) segLocked(seg traj.Segment) *segEntry {
+	if ctx.entries == nil {
+		ctx.entries = make(map[*traj.Symbolic]trajEntry)
+	}
+	ent := ctx.entries[seg.Traj]
+	if len(ent.segs) <= seg.Index {
+		grown := make([]segEntry, seg.Traj.NumSegments())
+		copy(grown, ent.segs)
+		ent.segs = grown
+		ctx.entries[seg.Traj] = ent
+	}
+	return &ent.segs[seg.Index]
+}
+
+// hold marks one more extraction of the trajectory in flight.
+func (ctx *Context) hold(s *traj.Symbolic) {
+	ctx.mu.Lock()
+	if ctx.entries == nil {
+		ctx.entries = make(map[*traj.Symbolic]trajEntry)
+	}
+	ent := ctx.entries[s]
+	ent.holds++
+	ctx.entries[s] = ent
+	ctx.mu.Unlock()
+}
+
+// ReleaseEdges ends one extraction's hold on the trajectory's cache
+// entry and drops the entry (edges, stays and U-turns) once no
+// extraction holds it. Callers that are done with a trajectory (a
+// finished summarize request, a trained-on corpus trajectory) release
+// it so the shared Context's cache stays bounded by the number of
+// trajectories in flight; concurrent requests over the same trajectory
+// keep its by-products until the last of them releases.
 func (ctx *Context) ReleaseEdges(s *traj.Symbolic) {
 	ctx.mu.Lock()
-	delete(ctx.edgeCache, s)
+	if ent, ok := ctx.entries[s]; ok {
+		if ent.holds--; ent.holds > 0 {
+			ctx.entries[s] = ent
+		} else {
+			delete(ctx.entries, s)
+		}
+	}
 	ctx.mu.Unlock()
+}
+
+// keepStays records the stay points extraction found on the segment.
+// A nil Context or an empty result records nothing.
+func (ctx *Context) keepStays(seg traj.Segment, stays []Stay) {
+	if ctx != nil && len(stays) > 0 {
+		ctx.mu.Lock()
+		ctx.segLocked(seg).stays = stays
+		ctx.mu.Unlock()
+	}
+}
+
+// keepUTurns records the U-turns extraction found on the segment.
+// A nil Context or an empty result records nothing.
+func (ctx *Context) keepUTurns(seg traj.Segment, turns []UTurn) {
+	if ctx != nil && len(turns) > 0 {
+		ctx.mu.Lock()
+		ctx.segLocked(seg).uturns = turns
+		ctx.mu.Unlock()
+	}
+}
+
+// Stays returns the stay points StayPoints extraction found on the
+// segment through this Context, in time order; nil when there were none,
+// when the segment was never extracted here, or for a nil Context. The
+// slice is shared: callers must not modify it.
+func (ctx *Context) Stays(seg traj.Segment) []Stay {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.entry(seg).stays
+}
+
+// UTurns returns the U-turns UTurns extraction found on the segment
+// through this Context, in time order, under the same rules as Stays.
+func (ctx *Context) UTurns(seg traj.Segment) []UTurn {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.entry(seg).uturns
 }
 
 // Registry is an ordered collection of extractors. Order is significant:
@@ -228,10 +313,6 @@ func (r *Registry) Descriptors() []Descriptor {
 	return out
 }
 
-// ExtractorAt returns the extractor at vector position i. It panics when i
-// is out of range, as with slice indexing.
-func (r *Registry) ExtractorAt(i int) Extractor { return r.extractors[i] }
-
 // IndexOf returns the vector position of the feature with the given key,
 // or -1 when unknown.
 func (r *Registry) IndexOf(key string) int {
@@ -254,13 +335,9 @@ func (r *Registry) Extract(seg traj.Segment, ctx *Context) Vector {
 }
 
 // ExtractAll computes the feature matrix of a symbolic trajectory: one
-// vector per segment.
+// vector per segment, in freshly allocated storage.
 func (r *Registry) ExtractAll(s *traj.Symbolic, ctx *Context) []Vector {
-	out := make([]Vector, s.NumSegments())
-	for i := range out {
-		out[i] = r.Extract(s.Segment(i), ctx)
-	}
-	return out
+	return r.ExtractAllInto(new(MatrixBuf), s, ctx)
 }
 
 // MatrixBuf is reusable backing storage for a feature matrix: the rows
@@ -294,8 +371,13 @@ func (b *MatrixBuf) Matrix(n, dims int) []Vector {
 }
 
 // ExtractAllInto is ExtractAll against pooled backing storage: the
-// returned matrix is valid until the buffer's next use.
+// returned matrix is valid until the buffer's next use. With a non-nil
+// ctx the extraction holds the trajectory's cache entry, so the stays
+// and U-turns it records stay readable until ReleaseEdges.
 func (r *Registry) ExtractAllInto(buf *MatrixBuf, s *traj.Symbolic, ctx *Context) []Vector {
+	if ctx != nil {
+		ctx.hold(s)
+	}
 	out := buf.Matrix(s.NumSegments(), len(r.extractors))
 	for i := range out {
 		seg := s.Segment(i)
@@ -311,29 +393,7 @@ func (r *Registry) ExtractAllInto(buf *MatrixBuf, s *traj.Symbolic, ctx *Context
 // normalizing constant of f is the biggest feature value among all the
 // trajectory segments of T"). All-zero dimensions stay zero.
 func NormalizeByMax(matrix []Vector) []Vector {
-	if len(matrix) == 0 {
-		return nil
-	}
-	dims := len(matrix[0])
-	maxAbs := make([]float64, dims)
-	for _, v := range matrix {
-		for j, x := range v {
-			if a := abs(x); a > maxAbs[j] {
-				maxAbs[j] = a
-			}
-		}
-	}
-	out := make([]Vector, len(matrix))
-	for i, v := range matrix {
-		nv := make(Vector, dims)
-		for j, x := range v {
-			if maxAbs[j] > 0 {
-				nv[j] = x / maxAbs[j]
-			}
-		}
-		out[i] = nv
-	}
-	return out
+	return NormalizeByMaxInto(new(MatrixBuf), matrix)
 }
 
 // NormalizeByMaxInto is NormalizeByMax against pooled backing storage:

@@ -169,6 +169,68 @@ func TestSegmentEdgesCached(t *testing.T) {
 	}
 }
 
+// TestContextKeepsByProductsUntilLastRelease pins the by-product cache:
+// extraction through a Context keeps the stays and U-turns Detect found,
+// per segment; every ExtractAll holds the trajectory's entry, and the
+// entry (edges included) goes with the last ReleaseEdges.
+func TestContextKeepsByProductsUntilLastRelease(t *testing.T) {
+	_, ctx := testWorld(t)
+	// East 500 m, a 120 s stop, then back west: one stay, one U-turn.
+	r := drive(36, 0, 500)
+	stop := r.Samples[len(r.Samples)-1]
+	ts := stop.T
+	for i := 0; i < 24; i++ {
+		ts = ts.Add(5 * time.Second)
+		r.Samples = append(r.Samples, traj.Sample{Pt: geo.Destination(stop.Pt, float64(i*37%360), 5), T: ts})
+	}
+	for d := 450.0; d >= 0; d -= 50 {
+		ts = ts.Add(5 * time.Second)
+		r.Samples = append(r.Samples, traj.Sample{Pt: geo.Destination(base, 90, d), T: ts})
+	}
+	seg := wholeSegment(r)
+	s := seg.Traj
+	reg := NewDefaultRegistry()
+
+	reg.ExtractAll(s, ctx)
+	wantStays := NewStayPoints().Detect(r.Samples)
+	wantTurns := NewUTurns().Detect(r.Samples)
+	if len(wantStays) != 1 || len(wantTurns) != 1 {
+		t.Fatalf("fixture: %d stays, %d U-turns, want 1 and 1", len(wantStays), len(wantTurns))
+	}
+	if got := ctx.Stays(seg); len(got) != 1 || got[0] != wantStays[0] {
+		t.Fatalf("kept stays = %v, want %v", got, wantStays)
+	}
+	if got := ctx.UTurns(seg); len(got) != 1 || got[0] != wantTurns[0] {
+		t.Fatalf("kept U-turns = %v, want %v", got, wantTurns)
+	}
+
+	reg.ExtractAll(s, ctx) // a second, concurrent-style hold
+	ctx.ReleaseEdges(s)
+	if len(ctx.Stays(seg)) != 1 || len(ctx.UTurns(seg)) != 1 {
+		t.Fatal("first release dropped by-products another extraction still holds")
+	}
+	ctx.ReleaseEdges(s)
+	if _, ok := ctx.entries[s]; ok {
+		t.Fatal("entry survives the last release")
+	}
+	if ctx.Stays(seg) != nil || ctx.UTurns(seg) != nil {
+		t.Fatal("by-products survive the last release")
+	}
+
+	// A matched-but-never-extracted trajectory is dropped by one release.
+	ctx.SegmentEdges(seg)
+	ctx.ReleaseEdges(s)
+	if len(ctx.entries) != 0 {
+		t.Fatalf("%d entries left after release", len(ctx.entries))
+	}
+
+	// Nil Contexts record and return nothing.
+	var none *Context
+	if NewStayPoints().Extract(seg, nil) != 1 || none.Stays(seg) != nil || none.UTurns(seg) != nil {
+		t.Fatal("nil Context mishandled")
+	}
+}
+
 func TestSpeedExtraction(t *testing.T) {
 	seg := wholeSegment(drive(72, 0, 1000))
 	got := NewSpeed().Extract(seg, nil)

@@ -63,9 +63,13 @@ func (StayPoints) Descriptor() Descriptor {
 	return Descriptor{Key: KeyStayPoints, Name: "stay points", Class: Moving, Numeric: true}
 }
 
-// Extract implements Extractor: the number of stay points of the segment.
-func (sp StayPoints) Extract(seg traj.Segment, _ *Context) float64 {
-	return float64(len(sp.Detect(seg.RawSamples())))
+// Extract implements Extractor: the number of stay points of the
+// segment. The stays themselves are kept in ctx for the templates (see
+// Context.Stays).
+func (sp StayPoints) Extract(seg traj.Segment, ctx *Context) float64 {
+	stays := sp.Detect(seg.RawSamples())
+	ctx.keepStays(seg, stays)
+	return float64(len(stays))
 }
 
 // Detect returns the stay points of a sample sequence, in time order.
@@ -136,8 +140,12 @@ func (UTurns) Descriptor() Descriptor {
 }
 
 // Extract implements Extractor: the number of U-turns of the segment.
-func (ut UTurns) Extract(seg traj.Segment, _ *Context) float64 {
-	return float64(len(ut.Detect(seg.RawSamples())))
+// The U-turns themselves are kept in ctx for the templates (see
+// Context.UTurns).
+func (ut UTurns) Extract(seg traj.Segment, ctx *Context) float64 {
+	turns := ut.Detect(seg.RawSamples())
+	ctx.keepUTurns(seg, turns)
+	return float64(len(turns))
 }
 
 // Detect returns the U-turns of a sample sequence, in time order.

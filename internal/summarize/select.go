@@ -2,9 +2,9 @@ package summarize
 
 import (
 	"sort"
-	"time"
 
 	"stmaker/internal/feature"
+	"stmaker/internal/geo"
 	"stmaker/internal/history"
 	"stmaker/internal/irregular"
 	"stmaker/internal/landmark"
@@ -16,9 +16,12 @@ import (
 // Selector chooses the most irregular features of each partition by
 // comparing against historical knowledge (§V).
 type Selector struct {
-	// Registry and Ctx must match those used for feature extraction.
+	// Registry must match the one used for feature extraction.
 	Registry *feature.Registry
-	Ctx      *feature.Context
+	// Ctx must be the Context the trajectory's extraction ran through,
+	// still holding it (not yet released): selection reads the segments'
+	// matched edges and the stays and U-turns extraction kept there.
+	Ctx *feature.Context
 	// Popular mines the most popular route between landmarks (§V-A).
 	Popular *history.Popular
 	// FeatureMap provides regular values per landmark transition (§V-B).
@@ -225,71 +228,42 @@ func aggregate(vals []float64, numeric bool) (v float64, ok bool) {
 }
 
 // attachByProducts fills the extraction by-products the templates present
-// (stay locations and durations, U-turn places, road names — §VI-A).
+// (stay locations and durations, U-turn places, road names — §VI-A). The
+// stays and U-turns are those extraction kept in sel.Ctx; only selected
+// features get their landmarks named.
 func (sel *Selector) attachByProducts(sf *SelectedFeature, s *traj.Symbolic, part partition.Part) {
 	switch sf.Key {
 	case feature.KeyStayPoints:
-		sp := stayDetector(sel.Registry)
 		for i := part.FirstSeg; i <= part.LastSeg; i++ {
-			sf.Stays = append(sf.Stays, sp.Detect(s.Segment(i).RawSamples())...)
+			sf.Stays = append(sf.Stays, sel.Ctx.Stays(s.Segment(i))...)
 		}
 		for _, st := range sf.Stays {
 			sf.TotalStay += st.Duration
-			name := ""
-			if sel.Landmarks != nil {
-				if lm, ok := sel.Landmarks.Nearest(st.Center, 500); ok {
-					name = lm.Name
-				}
-			}
-			sf.StayAt = append(sf.StayAt, name)
+			sf.StayAt = append(sf.StayAt, sel.placeName(st.Center))
 		}
 	case feature.KeyUTurns:
-		ut := uturnDetector(sel.Registry)
 		for i := part.FirstSeg; i <= part.LastSeg; i++ {
-			sf.UTurns = append(sf.UTurns, ut.Detect(s.Segment(i).RawSamples())...)
+			sf.UTurns = append(sf.UTurns, sel.Ctx.UTurns(s.Segment(i))...)
 		}
 		for _, u := range sf.UTurns {
-			name := ""
-			if sel.Landmarks != nil {
-				if lm, ok := sel.Landmarks.Nearest(u.At, 500); ok {
-					name = lm.Name
-				}
-			}
-			sf.UTurnAt = append(sf.UTurnAt, name)
+			sf.UTurnAt = append(sf.UTurnAt, sel.placeName(u.At))
 		}
 	case feature.KeyGradeOfRoad:
 		if sel.Ctx != nil {
-			sf.RoadName = RoadNameForPart(sel.Ctx, s, part)
+			_, sf.RoadName, _ = RoadForPart(sel.Ctx, s, part)
 		}
 	}
 }
 
-// stayDetector returns the registered StayPoints extractor (to honour its
-// configured thresholds), or a default one.
-func stayDetector(reg *feature.Registry) feature.StayPoints {
-	if i := reg.IndexOf(feature.KeyStayPoints); i >= 0 {
-		if sp, ok := extractorAt(reg, i).(feature.StayPoints); ok {
-			return sp
+// placeName names the landmark within 500 m of p, or "" when there is
+// none.
+func (sel *Selector) placeName(p geo.Point) string {
+	if sel.Landmarks != nil {
+		if lm, ok := sel.Landmarks.Nearest(p, 500); ok {
+			return lm.Name
 		}
 	}
-	return feature.NewStayPoints()
-}
-
-// uturnDetector returns the registered UTurns extractor, or a default one.
-func uturnDetector(reg *feature.Registry) feature.UTurns {
-	if i := reg.IndexOf(feature.KeyUTurns); i >= 0 {
-		if ut, ok := extractorAt(reg, i).(feature.UTurns); ok {
-			return ut
-		}
-	}
-	return feature.NewUTurns()
-}
-
-// extractorAt indirects through Descriptors order; the registry does not
-// expose extractors directly, so re-extraction uses defaults for the two
-// detail-producing features unless type assertion succeeds.
-func extractorAt(reg *feature.Registry, i int) feature.Extractor {
-	return reg.ExtractorAt(i)
+	return ""
 }
 
 // RoadForPart returns the partition's dominant road grade together with
@@ -340,48 +314,4 @@ func RoadForPart(ctx *feature.Context, s *traj.Symbolic, part partition.Part) (g
 		}
 	}
 	return grade, name, true
-}
-
-// RoadNameForPart returns only the name component of RoadForPart; it
-// remains for callers that already know the grade.
-func RoadNameForPart(ctx *feature.Context, s *traj.Symbolic, part partition.Part) string {
-	_, name, _ := RoadForPart(ctx, s, part)
-	return name
-}
-
-// DominantGrade returns the modal road grade of the partition from the
-// feature matrix, for the sentence templates' "through road type" slot.
-func DominantGrade(reg *feature.Registry, matrix []feature.Vector, part partition.Part) (roadnet.Grade, bool) {
-	j := reg.IndexOf(feature.KeyGradeOfRoad)
-	if j < 0 {
-		return 0, false
-	}
-	// Grade codes are 1–7 (roadnet.Grade.Valid), so the count fits a
-	// fixed array; this runs per partition on the render path.
-	var counts [8]int
-	for i := part.FirstSeg; i <= part.LastSeg && i < len(matrix); i++ {
-		if g := int(matrix[i][j]); g >= 1 && g <= 7 {
-			counts[g]++
-		}
-	}
-	best, bestN := 0, 0
-	for g, n := range counts {
-		// Ascending iteration: strict > keeps the smallest modal grade.
-		if n > bestN {
-			best, bestN = g, n
-		}
-	}
-	if bestN == 0 {
-		return 0, false
-	}
-	return roadnet.Grade(best), true
-}
-
-// TotalDuration sums the durations of the partition's segments.
-func TotalDuration(s *traj.Symbolic, part partition.Part) time.Duration {
-	var d time.Duration
-	for i := part.FirstSeg; i <= part.LastSeg; i++ {
-		d += s.Segment(i).Duration()
-	}
-	return d
 }

@@ -310,34 +310,6 @@ func TestAggregate(t *testing.T) {
 	}
 }
 
-func TestDominantGradeAndTotalDuration(t *testing.T) {
-	reg := feature.NewRegistry()
-	if err := reg.Register(feature.GradeOfRoad{}); err != nil {
-		t.Fatal(err)
-	}
-	matrix := []feature.Vector{{1}, {1}, {6}}
-	g, ok := DominantGrade(reg, matrix, partition.Part{FirstSeg: 0, LastSeg: 2})
-	if !ok || g != 1 {
-		t.Fatalf("grade = %v ok=%v", g, ok)
-	}
-	if _, ok := DominantGrade(reg, []feature.Vector{{0}}, partition.Part{FirstSeg: 0, LastSeg: 0}); ok {
-		t.Error("unmatched matrix should report no grade")
-	}
-	noGR := feature.NewRegistry()
-	if err := noGR.Register(feature.NewSpeed()); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := DominantGrade(noGR, matrix, partition.Part{FirstSeg: 0, LastSeg: 0}); ok {
-		t.Error("registry without GR should report no grade")
-	}
-
-	s := twoSegTrip(60, 60)
-	d := TotalDuration(s, partition.Part{FirstSeg: 0, LastSeg: 1})
-	if d != s.Visits[2].T.Sub(s.Visits[0].T) {
-		t.Errorf("duration = %v", d)
-	}
-}
-
 func TestRoadForPart(t *testing.T) {
 	// One highway edge and one village edge; a trip covering mostly the
 	// highway must get the highway's name, not the village lane's.
@@ -417,6 +389,98 @@ func TestStayPlacesAttached(t *testing.T) {
 		}
 	}
 	t.Fatal("stay feature not selected")
+}
+
+// TestCustomDetectorThresholdsReachByProducts registers StayPoints and
+// UTurns as pointers with non-default thresholds. The stays and U-turns
+// the selector attaches must be exactly the ones extraction counted with
+// those thresholds, not a re-detection with the defaults.
+func TestCustomDetectorThresholdsReachByProducts(t *testing.T) {
+	stays := &feature.StayPoints{MaxRadiusMeters: 200, MinDuration: 30 * time.Second}
+	uturns := &feature.UTurns{MinHeadingChangeDeg: 100, MinLegMeters: 30}
+	reg := feature.NewRegistry()
+	for _, e := range []feature.Extractor{feature.NewSpeed(), stays, uturns} {
+		if err := reg.Register(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Ten rounds over two segments: circle a spot 70 m out for 45 s
+	// (stays for the 200 m / 30 s detector, none for the default one),
+	// then zigzag at 120° (U-turns for the 100° detector only), then
+	// drive on 1 km east.
+	r := &traj.Raw{ID: "custom"}
+	ts := selStart
+	p := selBase
+	add := func(q geo.Point, dt time.Duration) {
+		r.Samples = append(r.Samples, traj.Sample{Pt: q, T: ts})
+		ts, p = ts.Add(dt), q
+	}
+	var cuts []int
+	for round := 0; round < 10; round++ {
+		if round%5 == 0 {
+			cuts = append(cuts, len(r.Samples))
+		}
+		spot := p
+		for k := 0; k < 10; k++ {
+			add(geo.Destination(spot, float64(20*k), 70), 5*time.Second)
+		}
+		add(geo.Destination(p, 90, 100), 10*time.Second)
+		add(geo.Destination(p, 210, 100), 10*time.Second)
+		add(geo.Destination(p, 90, 100), 10*time.Second)
+		for d := 0; d < 10; d++ {
+			add(geo.Destination(p, 90, 100), 10*time.Second)
+		}
+	}
+	add(geo.Destination(p, 90, 100), 10*time.Second)
+	cuts = append(cuts, len(r.Samples)-1)
+	s := &traj.Symbolic{ID: r.ID, Raw: r}
+	for i, c := range cuts {
+		s.Visits = append(s.Visits, traj.Visit{Landmark: i, T: r.Samples[c].T, RawIndex: c})
+	}
+	if n := len(feature.NewStayPoints().Detect(r.Samples)); n != 0 {
+		t.Fatalf("fixture: default thresholds find %d stays, want 0", n)
+	}
+	if n, m := len(feature.NewUTurns().Detect(r.Samples)), len(uturns.Detect(r.Samples)); n >= m {
+		t.Fatalf("fixture: default thresholds find %d U-turns, custom %d", n, m)
+	}
+
+	lms := landmark.NewSet([]landmark.Landmark{{Name: "Start", Pt: selBase}})
+	m := history.NewFeatureMap(3)
+	m.Add(0, 1, []float64{40, 0, 0})
+	m.Add(1, 2, []float64{40, 0, 0})
+	sel := &Selector{Registry: reg, Ctx: feature.NewContext(nil, nil, lms), FeatureMap: m, Landmarks: lms}
+	matrix := reg.ExtractAll(s, sel.Ctx)
+	part := partition.Part{FirstSeg: 0, LastSeg: 1}
+	var wantStays, wantTurns int
+	for i := part.FirstSeg; i <= part.LastSeg; i++ {
+		wantStays += int(matrix[i][1])
+		wantTurns += int(matrix[i][2])
+	}
+	if wantStays < 5 || wantTurns < 5 {
+		t.Fatalf("fixture: extraction counted %d stays, %d U-turns", wantStays, wantTurns)
+	}
+	var gotStays, gotTurns *SelectedFeature
+	got := sel.SelectForPart(s, part, matrix)
+	for i := range got {
+		switch got[i].Key {
+		case feature.KeyStayPoints:
+			gotStays = &got[i]
+		case feature.KeyUTurns:
+			gotTurns = &got[i]
+		}
+	}
+	if gotStays == nil || gotTurns == nil {
+		t.Fatalf("stay and U-turn features not both selected: %+v", got)
+	}
+	if len(gotStays.Stays) != wantStays || len(gotStays.StayAt) != wantStays {
+		t.Fatalf("%d stays, %d names attached; extraction counted %d", len(gotStays.Stays), len(gotStays.StayAt), wantStays)
+	}
+	if len(gotTurns.UTurns) != wantTurns || len(gotTurns.UTurnAt) != wantTurns {
+		t.Fatalf("%d U-turns, %d names attached; extraction counted %d", len(gotTurns.UTurns), len(gotTurns.UTurnAt), wantTurns)
+	}
+	if gotStays.StayAt[0] != "Start" {
+		t.Fatalf("first stay named %q, want Start", gotStays.StayAt[0])
+	}
 }
 
 // BenchmarkSelectForPart runs §V selection over a sparsely sampled trip

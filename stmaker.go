@@ -150,9 +150,6 @@ type Config struct {
 	// K fixes the summary granularity to exactly K partitions; 0 uses the
 	// globally optimal (unconstrained) partition, STMaker's default.
 	K int
-	// GlobalMeanFallback substitutes the corpus-wide feature mean when the
-	// historical feature map lacks a transition (default true via New).
-	GlobalMeanFallback *bool
 	// UseHMMMatching switches routing-feature extraction from greedy
 	// nearest-edge map matching to HMM (Viterbi) matching — slower but
 	// robust to GPS noise near parallel roads.
@@ -230,7 +227,6 @@ type Summarizer struct {
 	calibrator *calibrate.Calibrator
 	sanitizer  *sanitize.Sanitizer
 	templates  *summarize.TemplateSet
-	fallback   bool
 
 	mx     *metrics.Registry
 	timers stageTimers
@@ -334,10 +330,6 @@ func New(cfg Config) (*Summarizer, error) {
 	if cfg.Threshold == 0 { //lint:allow floateq -- zero means unset in Config
 		cfg.Threshold = irregular.DefaultThreshold
 	}
-	fallback := true
-	if cfg.GlobalMeanFallback != nil {
-		fallback = *cfg.GlobalMeanFallback
-	}
 	reg := feature.NewDefaultRegistry()
 	ctx := feature.NewContext(cfg.Graph, roadnet.NewMatcher(cfg.Graph), cfg.Landmarks)
 	mx := cfg.Metrics
@@ -365,7 +357,6 @@ func New(cfg Config) (*Summarizer, error) {
 			MinSpacingMeters: cfg.MinAnchorSpacingMeters,
 		}),
 		templates: summarize.DefaultTemplates(),
-		fallback:  fallback,
 		mx:        mx,
 		timers:    newStageTimers(mx),
 		model:     &atomic.Pointer[Model]{},
@@ -714,18 +705,19 @@ func (s *Summarizer) summarizeSymbolic(ctx context.Context, sym *traj.Symbolic, 
 	}
 	defer s.timers.summarize.ObserveSince(time.Now())
 
-	// Per-request pooled scratch; the segment-edge cache entry is
-	// released with it, so the long-lived serving Context stays bounded
-	// by the number of requests in flight.
+	// Per-request pooled scratch.
 	scratch := s.scratch.Get().(*pipeScratch)
 	defer s.scratch.Put(scratch)
-	defer s.ctx.ReleaseEdges(sym)
 
 	if err := s.checkCtx(ctx); err != nil {
 		return nil, err
 	}
 	tExtract := time.Now()
 	matrix := s.registry.ExtractAllInto(&scratch.mat, sym, s.ctx)
+	// The extraction holds the trajectory's serving-Context entry
+	// (matched edges, stays, U-turns) until the request ends, so the
+	// long-lived Context stays bounded by the requests in flight.
+	defer s.ctx.ReleaseEdges(sym)
 	s.timers.extract.ObserveSince(tExtract)
 
 	if err := s.checkCtx(ctx); err != nil {
@@ -748,7 +740,7 @@ func (s *Summarizer) summarizeSymbolic(ctx context.Context, sym *traj.Symbolic, 
 		Landmarks:          s.cfg.Landmarks,
 		Weights:            s.cfg.Weights,
 		Threshold:          s.cfg.Threshold,
-		GlobalMeanFallback: s.fallback,
+		GlobalMeanFallback: true,
 	}
 
 	tSelect := time.Now()
@@ -788,6 +780,7 @@ func (s *Summarizer) Partition(sym *traj.Symbolic, k int) (partition.Result, err
 	defer s.scratch.Put(scratch)
 	tExtract := time.Now()
 	matrix := s.registry.ExtractAllInto(&scratch.mat, sym, s.ctx)
+	defer s.ctx.ReleaseEdges(sym)
 	s.timers.extract.ObserveSince(tExtract)
 	return s.partitionTrajectory(scratch, sym, matrix, k)
 }
